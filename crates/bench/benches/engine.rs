@@ -3,7 +3,7 @@
 //! activation versus a cold build.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use sdr_engine::{Engine, EngineConfig, Metrics, Session, WorkerArray};
+use sdr_engine::{Engine, Metrics, PoolConfig, Session, WorkerArray};
 use std::sync::Arc;
 
 /// A mixed batch (half W-CDMA, half OFDM) run to completion.
@@ -26,9 +26,9 @@ fn bench_engine_throughput(c: &mut Criterion) {
             b.iter_batched(
                 || {
                     (
-                        Engine::new(EngineConfig {
+                        Engine::new(PoolConfig {
                             shards,
-                            ..EngineConfig::default()
+                            ..PoolConfig::default()
                         }),
                         mixed_batch(sessions),
                     )

@@ -49,7 +49,6 @@ use std::time::Duration;
 
 use crate::metrics::{Metrics, Snapshot};
 use crate::pool::{PoolConfig, RecoveryPolicy, ShardPool};
-use crate::router::PlacementPolicy;
 use crate::session::{
     ParkedSession, Session, SessionState, Standard, OFDM_JOB_CYCLES, WCDMA_JOB_CYCLES,
 };
@@ -81,96 +80,13 @@ fn std_index(standard: Standard) -> usize {
     }
 }
 
-/// Front-end sizing and policy.
-#[derive(Debug, Clone)]
-pub struct FrontendConfig {
-    /// Worker shards (one array gang each).
-    pub shards: usize,
-    /// Arrays per shard gang.
-    pub arrays_per_shard: usize,
-    /// Bounded per-shard queue depth.
-    pub queue_depth: usize,
-    /// Compiled configurations the process-wide store may hold.
-    pub cache_capacity: usize,
-    /// Materialisation window: maximum concurrently *rehydrated*
-    /// sessions (live async tasks). Everything beyond this stays parked.
-    /// Keep at or below `shards × queue_depth` so the reactor bound
-    /// never starves the window.
-    pub max_resident: usize,
-    /// Parking-lot slots to preallocate (parking within this budget is
-    /// allocation-free). `0` grows on demand.
-    pub parking_capacity: usize,
-    /// A fresh frame whose modeled completion would run later than
-    /// `deadline + shed_lateness_cycles` is shed at admission instead of
-    /// being materialised.
-    pub shed_lateness_cycles: u64,
-    /// How far a `WouldBlock` bounce defers the parked deadline.
-    pub defer_cycles: u64,
-    /// Supervision tuning (crash retry budget, watchdog grant).
-    pub recovery: RecoveryPolicy,
-    /// Let worker arrays capture and replay steady-state schedules (the
-    /// default). Rate-matched deployments whose frames never sit in a
-    /// steady state long enough to amortise a capture (the honest 0.87×
-    /// detector tax in BENCH_ARRAY.json) can disable it pool-wide here
-    /// instead of reaching into each array.
-    pub schedule_capture: bool,
-    /// How submissions are placed on shards (see
-    /// [`PoolConfig::placement`]); the virtual-time model mirrors the
-    /// affinity policy deterministically either way.
-    pub placement: PlacementPolicy,
-    /// Cross-shard work stealing (see [`PoolConfig::work_stealing`]).
-    /// Session outcomes and the admission model's slack/shed figures are
-    /// placement- and steal-independent, but the live dispatch counters
-    /// (reconfigurations, prefetches, schedule captures) depend on which
-    /// shard each step lands on; runs that want a bit-identical metrics
-    /// block across executions should pair [`PlacementPolicy::Static`]
-    /// with stealing off.
-    pub work_stealing: bool,
-    /// Differential configuration loading: stream only the word delta
-    /// between resident and target configs (see
-    /// [`PoolConfig::delta_loading`]). Default off.
-    pub delta_loading: bool,
-    /// Start worker shards paused (tests exercise backpressure this way).
-    pub start_paused: bool,
-    /// Rescue over-budget fresh frames instead of shedding them: a frame
-    /// whose modeled completion misses the shed budget is re-homed onto
-    /// the shard whose gang already holds its standard's kernels (the
-    /// model's deterministic residency mirror; the live counterpart is
-    /// the checkpointed ~40-byte migration through
-    /// [`ShardPool::submit_to`]) and granted
-    /// [`rescue_lateness_cycles`](FrontendConfig::rescue_lateness_cycles)
-    /// of extra grace — the reconfiguration tax it no longer pays.
-    /// Default off: the seed admission model sheds outright.
-    pub rescue_migration: bool,
-    /// Extra modeled lateness a rescued frame may carry beyond
-    /// `shed_lateness_cycles` before it is shed anyway. Only read when
-    /// [`rescue_migration`](FrontendConfig::rescue_migration) is on.
-    pub rescue_lateness_cycles: u64,
-}
-
-impl Default for FrontendConfig {
-    fn default() -> Self {
-        let p = PoolConfig::default();
-        FrontendConfig {
-            shards: p.shards,
-            arrays_per_shard: p.arrays_per_shard,
-            queue_depth: p.queue_depth,
-            cache_capacity: p.cache_capacity,
-            max_resident: 64,
-            parking_capacity: 0,
-            shed_lateness_cycles: 2 * crate::session::WCDMA_PERIOD_CYCLES,
-            defer_cycles: 1_000,
-            recovery: p.recovery,
-            schedule_capture: p.schedule_capture,
-            placement: p.placement,
-            work_stealing: p.work_stealing,
-            delta_loading: p.delta_loading,
-            start_paused: false,
-            rescue_migration: false,
-            rescue_lateness_cycles: 6 * crate::session::WCDMA_PERIOD_CYCLES,
-        }
-    }
-}
+/// Front-end sizing and policy: the engine's one [`PoolConfig`], whose
+/// `max_resident`, `parking_capacity`, `shed_lateness_cycles`,
+/// `defer_cycles`, `rescue_migration` and `rescue_lateness_cycles` fields
+/// the front-end reads. The placement policy and work stealing never
+/// change the admission model: it mirrors the affinity policy
+/// deterministically either way.
+pub type FrontendConfig = PoolConfig;
 
 /// What a finished front-end task reports back to the driver.
 enum TaskOutcome {
@@ -260,7 +176,6 @@ pub struct Frontend {
     // contiguously into shards of `arrays_per_shard` servers), the cycle
     // at which that virtual server frees up.
     free_at: Vec<u64>,
-    arrays_per_shard: usize,
     // The model's own deterministic residency: the shard each standard's
     // frames last landed on (indexed by `std_index`). The live router
     // reads the racy published view; the model mirrors the affinity
@@ -271,12 +186,6 @@ pub struct Frontend {
     // Modeled completion cycle per in-progress frame (terminal id →
     // virtual completion); survives backpressure re-parks.
     vcomp: HashMap<u64, u64>,
-    max_resident: usize,
-    shed_lateness_cycles: u64,
-    defer_cycles: u64,
-    rescue_migration: bool,
-    rescue_lateness_cycles: u64,
-    recovery: RecoveryPolicy,
     // Summary accumulators.
     frames_completed: u64,
     done: u64,
@@ -295,48 +204,24 @@ impl<F: FnMut(&Session, u64) -> Option<ParkedSession>> Workload for F {}
 
 impl Frontend {
     /// Spawns the worker pool and an empty front-end.
-    pub fn new(config: FrontendConfig) -> Self {
+    pub fn new(config: PoolConfig) -> Self {
         Frontend::with_metrics(config, Arc::new(Metrics::new()))
     }
 
     /// As [`Frontend::new`] with a caller-supplied metrics registry.
-    pub fn with_metrics(config: FrontendConfig, metrics: Arc<Metrics>) -> Self {
-        let pool = ShardPool::new(
-            PoolConfig {
-                shards: config.shards,
-                arrays_per_shard: config.arrays_per_shard,
-                queue_depth: config.queue_depth,
-                cache_capacity: config.cache_capacity,
-                replicate_after_cycles: PoolConfig::default().replicate_after_cycles,
-                start_paused: config.start_paused,
-                schedule_capture: config.schedule_capture,
-                placement: config.placement,
-                work_stealing: config.work_stealing,
-                delta_loading: config.delta_loading,
-                steal_threshold: PoolConfig::default().steal_threshold,
-                recovery: config.recovery,
-                #[cfg(feature = "faults")]
-                fault_plan: None,
-            },
-            Arc::clone(&metrics),
-        );
-        let workers = config.shards.max(1) * config.arrays_per_shard.max(1);
+    pub fn with_metrics(config: PoolConfig, metrics: Arc<Metrics>) -> Self {
+        let lot = ParkingLot::with_capacity(config.parking_capacity);
+        let pool = ShardPool::new(config, Arc::clone(&metrics));
+        let workers = pool.shard_count() * pool.config().arrays_per_shard;
         Frontend {
             reactor: Rc::new(CompletionReactor::new(pool)),
             executor: MiniExecutor::new(),
-            lot: ParkingLot::with_capacity(config.parking_capacity),
+            lot,
             metrics,
             free_at: vec![0; workers],
-            arrays_per_shard: config.arrays_per_shard.max(1),
             home_shard: [None; 2],
             vnow: 0,
             vcomp: HashMap::new(),
-            max_resident: config.max_resident.max(1),
-            shed_lateness_cycles: config.shed_lateness_cycles,
-            defer_cycles: config.defer_cycles,
-            rescue_migration: config.rescue_migration,
-            rescue_lateness_cycles: config.rescue_lateness_cycles,
-            recovery: config.recovery,
             frames_completed: 0,
             done: 0,
             failed: 0,
@@ -495,7 +380,10 @@ impl Frontend {
     /// shedding hopeless frames) for fresh ones.
     fn materialise(&mut self) -> usize {
         let mut progress = 0;
-        while self.executor.live() < self.max_resident {
+        let config = self.pool().config();
+        let (max_resident, gang) = (config.max_resident.max(1), config.arrays_per_shard);
+        let shed_lateness_cycles = config.shed_lateness_cycles;
+        while self.executor.live() < max_resident {
             let Some(record) = self.lot.pop_earliest() else {
                 break;
             };
@@ -506,9 +394,8 @@ impl Frontend {
                 let start = free.max(arrival);
                 let completes = start + service_cycles(record.standard());
                 let lateness = completes.saturating_sub(record.deadline());
-                let admitted = if lateness <= self.shed_lateness_cycles {
-                    self.home_shard[std_index(record.standard())] =
-                        Some(server / self.arrays_per_shard);
+                let admitted = if lateness <= shed_lateness_cycles {
+                    self.home_shard[std_index(record.standard())] = Some(server / gang);
                     Some((server, completes))
                 } else {
                     // Over the shed budget on the least-loaded server:
@@ -544,9 +431,10 @@ impl Frontend {
     fn pick_server(&self, standard: Standard) -> (usize, u64) {
         let min_free = self.free_at.iter().copied().min().unwrap_or(0);
         let home = self.home_shard[std_index(standard)];
+        let gang = self.pool().config().arrays_per_shard;
         let server = (0..self.free_at.len())
             .filter(|&i| self.free_at[i] == min_free)
-            .min_by_key(|&i| (Some(i / self.arrays_per_shard) != home, i))
+            .min_by_key(|&i| (Some(i / gang) != home, i))
             .unwrap_or(0);
         (server, min_free)
     }
@@ -563,16 +451,17 @@ impl Frontend {
     /// the chosen server and its modeled completion, or `None` when no
     /// rescue applies (policy off, no warm home yet, or still too late).
     fn try_rescue(&self, record: &ParkedSession, arrival: u64) -> Option<(usize, u64)> {
-        if !self.rescue_migration {
+        let config = self.pool().config();
+        if !config.rescue_migration {
             return None;
         }
         let home = self.home_shard[std_index(record.standard())]?;
-        let base = home * self.arrays_per_shard;
-        let gang = base..(base + self.arrays_per_shard).min(self.free_at.len());
+        let base = home * config.arrays_per_shard;
+        let gang = base..(base + config.arrays_per_shard).min(self.free_at.len());
         let server = gang.min_by_key(|&i| (self.free_at[i], i))?;
         let completes = self.free_at[server].max(arrival) + service_cycles(record.standard());
         let lateness = completes.saturating_sub(record.deadline());
-        if lateness > self.shed_lateness_cycles + self.rescue_lateness_cycles {
+        if lateness > config.shed_lateness_cycles + config.rescue_lateness_cycles {
             return None;
         }
         Metrics::incr(&self.metrics.sessions_migrated);
@@ -583,10 +472,10 @@ impl Frontend {
     fn spawn_drive(&mut self, session: Session) {
         let reactor = Rc::clone(&self.reactor);
         let metrics = Arc::clone(&self.metrics);
-        let defer_cycles = self.defer_cycles;
-        let max_attempts = self.recovery.max_session_attempts;
+        let config = self.pool().config();
+        let (defer_cycles, recovery) = (config.defer_cycles, config.recovery);
         self.executor
-            .spawn(drive(reactor, metrics, defer_cycles, max_attempts, session));
+            .spawn(drive(reactor, metrics, defer_cycles, recovery, session));
     }
 
     fn update_gauges(&mut self) {
@@ -632,7 +521,7 @@ async fn drive(
     reactor: Rc<CompletionReactor>,
     metrics: Arc<Metrics>,
     defer_cycles: u64,
-    max_attempts: u32,
+    recovery: RecoveryPolicy,
     mut session: Session,
 ) -> TaskOutcome {
     loop {
@@ -642,21 +531,9 @@ async fn drive(
         match CompletionReactor::submit(&reactor, session) {
             Ok(step) => {
                 let mut stepped = step.await;
-                if stepped.take_crashed() {
-                    if stepped.attempts() > max_attempts {
-                        stepped.mark_dead_lettered(format!(
-                            "crashed {} times; giving up",
-                            stepped.attempts()
-                        ));
-                        Metrics::incr(&metrics.dead_letters);
-                    } else {
-                        // The shard already restarted with a fresh
-                        // array; re-dispatch (no sleep — the driver is
-                        // single-threaded, backoff is deadline deferral).
-                        Metrics::incr(&metrics.session_retries);
-                        Metrics::incr(&metrics.recoveries);
-                    }
-                }
+                // A retried crash re-dispatches without sleeping: the
+                // driver is single-threaded, backoff is deadline deferral.
+                recovery.supervise_crash(&mut stepped, &metrics);
                 session = stepped;
             }
             Err(bounced) => {
@@ -685,11 +562,11 @@ mod tests {
 
     #[test]
     fn open_loop_mixed_standards_all_complete() {
-        let mut fe = Frontend::new(FrontendConfig {
+        let mut fe = Frontend::new(PoolConfig {
             shards: 2,
             queue_depth: 4,
             max_resident: 8,
-            ..FrontendConfig::default()
+            ..PoolConfig::default()
         });
         for id in 0..10u64 {
             let rec = if id % 2 == 0 {
@@ -720,7 +597,7 @@ mod tests {
 
     #[test]
     fn closed_loop_readmits_follow_up_frames() {
-        let mut fe = Frontend::new(FrontendConfig::default());
+        let mut fe = Frontend::new(PoolConfig::default());
         for id in 0..4u64 {
             fe.admit(ParkedSession::new_wcdma(id, 7 + id, 0));
         }
@@ -750,11 +627,11 @@ mod tests {
         // arrival's modeled completion exceeds its deadline only if the
         // deadline is tighter than 2x service; W-CDMA periods are roomy,
         // so drive lateness with a crowd arriving at once.
-        let mut fe = Frontend::new(FrontendConfig {
+        let mut fe = Frontend::new(PoolConfig {
             shards: 1,
             arrays_per_shard: 1,
             shed_lateness_cycles: 0,
-            ..FrontendConfig::default()
+            ..PoolConfig::default()
         });
         // All frames arrive at cycle 0; server capacity is one frame per
         // WCDMA_SERVICE_CYCLES. Deadline = 33_333, service = 9_000: the
@@ -779,9 +656,9 @@ mod tests {
 
     #[test]
     fn run_limited_leaves_the_rest_parked() {
-        let mut fe = Frontend::new(FrontendConfig {
+        let mut fe = Frontend::new(PoolConfig {
             max_resident: 2,
-            ..FrontendConfig::default()
+            ..PoolConfig::default()
         });
         for id in 0..50u64 {
             fe.admit(ParkedSession::new_ofdm(id, id, id * 100));
@@ -797,50 +674,9 @@ mod tests {
         assert_eq!(summary.peak_parked, 50);
     }
 
-    /// The pool-wide capture switch: rate-matched deployments disable
-    /// steady-state schedule capture with one config field instead of
-    /// reaching into each array. Off means *no* array ever captures;
-    /// outcomes are unchanged either way.
-    #[test]
-    fn schedule_capture_disables_pool_wide() {
-        let run = |capture: bool| {
-            let mut fe = Frontend::new(FrontendConfig {
-                shards: 2,
-                arrays_per_shard: 2,
-                queue_depth: 16,
-                schedule_capture: capture,
-                ..FrontendConfig::default()
-            });
-            for id in 0..24u64 {
-                let rec = if id % 2 == 0 {
-                    ParkedSession::new_wcdma(id, 1000 + id, id * 200)
-                } else {
-                    ParkedSession::new_ofdm(id, 2000 + id, id * 200)
-                };
-                fe.admit(rec);
-            }
-            fe.run(&mut no_followup())
-        };
-        let with_capture = run(true);
-        let without = run(false);
-        assert_eq!(with_capture.frames_completed, 24);
-        assert_eq!(without.frames_completed, 24);
-        assert_eq!(with_capture.done, without.done, "outcomes match");
-        assert!(
-            with_capture.snapshot.schedules_captured >= 1,
-            "default must capture on this steady workload: {}",
-            with_capture.snapshot
-        );
-        assert_eq!(
-            without.snapshot.schedules_captured, 0,
-            "capture off must mean zero captures pool-wide"
-        );
-        assert_eq!(without.snapshot.schedule_replay_cycles, 0);
-    }
-
     #[test]
     fn shutdown_returns_cleanly_with_live_tasks() {
-        let mut fe = Frontend::new(FrontendConfig::default());
+        let mut fe = Frontend::new(PoolConfig::default());
         for id in 0..8u64 {
             fe.admit(ParkedSession::new_wcdma(id, id, 0));
         }

@@ -32,9 +32,9 @@
 //! exactly these paths.
 //!
 //! ```
-//! use sdr_engine::{Engine, EngineConfig, Session};
+//! use sdr_engine::{Engine, PoolConfig, Session};
 //!
-//! let mut engine = Engine::new(EngineConfig { shards: 2, ..EngineConfig::default() });
+//! let mut engine = Engine::new(PoolConfig { shards: 2, ..PoolConfig::default() });
 //! let sessions = vec![Session::wcdma(0, 1), Session::ofdm(1, 2)];
 //! let summary = engine.run(sessions);
 //! assert_eq!(summary.completed.len(), 2);
@@ -64,77 +64,9 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 
 use sdr_core::scheduler::{schedule_edf, ScheduleReport};
-#[cfg(feature = "faults")]
-use xpp_array::fault::FaultPlan;
 
 /// EDF admission-control horizon in array cycles (two W-CDMA slots).
 pub const ADMISSION_HORIZON_CYCLES: u64 = 2 * session::WCDMA_PERIOD_CYCLES;
-
-/// Engine sizing. Mirrors [`PoolConfig`] minus the test-only pause knob.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct EngineConfig {
-    /// Worker shards (one array gang each).
-    pub shards: usize,
-    /// Arrays per shard gang; above 1 the shard batches sessions by
-    /// kernel and amortises configuration loads across each batch (see
-    /// [`PoolConfig::arrays_per_shard`]).
-    pub arrays_per_shard: usize,
-    /// Bounded per-shard queue depth.
-    pub queue_depth: usize,
-    /// Compiled configurations the process-wide store may hold.
-    pub cache_capacity: usize,
-    /// Supervision tuning: retry budgets, crash backoff, watchdog grant.
-    pub recovery: RecoveryPolicy,
-    /// Backlog length above which admission pressure sheds the
-    /// least-urgent (latest-deadline) waiting session instead of queueing
-    /// it. The default (`usize::MAX`) never sheds.
-    pub shed_backlog: usize,
-    /// Rescue shed candidates by checkpointed migration: before shedding,
-    /// consult the [`ResidencyView`] for a shard with queue room that
-    /// already holds the session's next kernel and re-dispatch the
-    /// session's ~40-byte parked record there instead. Default off — the
-    /// seed overload behaviour sheds outright.
-    pub rescue_migration: bool,
-    /// Let worker arrays capture and replay steady-state schedules (the
-    /// default; see [`PoolConfig::schedule_capture`]).
-    pub schedule_capture: bool,
-    /// How submissions are placed on shards: residency-affinity routing
-    /// (the default) or the static `id % shards` oracle (see
-    /// [`PoolConfig::placement`]).
-    pub placement: PlacementPolicy,
-    /// Cross-shard work stealing (the default with more than one shard;
-    /// see [`PoolConfig::work_stealing`]).
-    pub work_stealing: bool,
-    /// Differential configuration loading: stream only the word delta
-    /// between the resident and target configs, and score shards/members
-    /// by the cheapest cached delta (see [`PoolConfig::delta_loading`]).
-    /// Default off — the seed streams full loads.
-    pub delta_loading: bool,
-    /// Deterministic pool-wide fault plan (`None` injects nothing).
-    #[cfg(feature = "faults")]
-    pub fault_plan: Option<FaultPlan>,
-}
-
-impl Default for EngineConfig {
-    fn default() -> Self {
-        let p = PoolConfig::default();
-        EngineConfig {
-            shards: p.shards,
-            arrays_per_shard: p.arrays_per_shard,
-            queue_depth: p.queue_depth,
-            cache_capacity: p.cache_capacity,
-            recovery: p.recovery,
-            shed_backlog: usize::MAX,
-            rescue_migration: false,
-            schedule_capture: p.schedule_capture,
-            placement: p.placement,
-            work_stealing: p.work_stealing,
-            delta_loading: p.delta_loading,
-            #[cfg(feature = "faults")]
-            fault_plan: None,
-        }
-    }
-}
 
 /// What a [`Engine::run`] call produced.
 #[derive(Debug)]
@@ -191,41 +123,16 @@ impl RunSummary {
 pub struct Engine {
     pool: ShardPool,
     metrics: Arc<Metrics>,
-    recovery: RecoveryPolicy,
-    shed_backlog: usize,
-    rescue_migration: bool,
 }
 
 impl Engine {
-    /// Spawns the worker pool.
-    pub fn new(config: EngineConfig) -> Self {
+    /// Spawns the worker pool. The engine reads its own policies
+    /// (`recovery`, `shed_backlog`, `rescue_migration`) from the pool's
+    /// copy of `config`.
+    pub fn new(config: PoolConfig) -> Self {
         let metrics = Arc::new(Metrics::new());
-        let pool = ShardPool::new(
-            PoolConfig {
-                shards: config.shards,
-                arrays_per_shard: config.arrays_per_shard,
-                queue_depth: config.queue_depth,
-                cache_capacity: config.cache_capacity,
-                replicate_after_cycles: PoolConfig::default().replicate_after_cycles,
-                start_paused: false,
-                schedule_capture: config.schedule_capture,
-                placement: config.placement,
-                work_stealing: config.work_stealing,
-                delta_loading: config.delta_loading,
-                steal_threshold: PoolConfig::default().steal_threshold,
-                recovery: config.recovery,
-                #[cfg(feature = "faults")]
-                fault_plan: config.fault_plan,
-            },
-            Arc::clone(&metrics),
-        );
-        Engine {
-            pool,
-            metrics,
-            recovery: config.recovery,
-            shed_backlog: config.shed_backlog,
-            rescue_migration: config.rescue_migration,
-        }
+        let pool = ShardPool::new(config, Arc::clone(&metrics));
+        Engine { pool, metrics }
     }
 
     /// The shared metrics registry.
@@ -284,6 +191,7 @@ impl Engine {
             .collect();
 
         Metrics::add(&self.metrics.sessions_started, sessions.len() as u64);
+        let config = self.pool.config();
         let mut backlog: VecDeque<Session> = sessions.into();
         let mut outstanding = 0usize;
         let mut completed = Vec::new();
@@ -300,7 +208,7 @@ impl Engine {
                         // runs it for zero config-bus traffic — and shed
                         // the least-urgent waiting session only when no
                         // such target exists.
-                        while backlog.len() > self.shed_backlog {
+                        while backlog.len() > config.shed_backlog {
                             let Some(victim) = Self::remove_latest_deadline(&mut backlog) else {
                                 break;
                             };
@@ -330,23 +238,12 @@ impl Engine {
                     break;
                 };
                 outstanding -= 1;
-                if session.take_crashed() {
-                    if session.attempts() > self.recovery.max_session_attempts {
-                        session.mark_dead_lettered(format!(
-                            "crashed {} times; giving up",
-                            session.attempts()
-                        ));
-                        Metrics::incr(&self.metrics.dead_letters);
-                        completed.push(session);
-                    } else {
-                        // The shard already restarted with a fresh array;
-                        // back off briefly and re-dispatch the session.
-                        Metrics::incr(&self.metrics.session_retries);
-                        Metrics::incr(&self.metrics.recoveries);
-                        let exp = session.attempts().saturating_sub(1).min(6);
-                        std::thread::sleep(self.recovery.backoff.saturating_mul(1 << exp));
-                        backlog.push_back(session);
-                    }
+                if config.recovery.supervise_crash(&mut session, &self.metrics) {
+                    // The shard already restarted with a fresh array;
+                    // back off briefly and re-dispatch the session.
+                    let exp = session.attempts().saturating_sub(1).min(6);
+                    std::thread::sleep(config.recovery.backoff.saturating_mul(1 << exp));
+                    backlog.push_back(session);
                 } else if session.is_terminal() {
                     completed.push(session);
                 } else {
@@ -376,7 +273,7 @@ impl Engine {
     /// or the rescue lane itself is occupied.
     #[allow(clippy::result_large_err)]
     fn try_rescue(&self, session: Session) -> Result<(), Session> {
-        if !self.rescue_migration {
+        if !self.pool.config().rescue_migration {
             return Err(session);
         }
         let Some(kernel) = session.next_kernel() else {

@@ -53,7 +53,7 @@ use crate::router::{
     AffinityRouter, Placement, PlacementPolicy, ResidencyView, ShardStatus, StaticPlacement,
     StealOffer, StealRegistry,
 };
-use crate::session::Session;
+use crate::session::{Session, WCDMA_PERIOD_CYCLES};
 
 /// Per-shard reserve slots beyond the advertised queue depth, reachable
 /// only through [`ShardPool::submit_to`] (the checkpointed deadline-rescue
@@ -96,6 +96,28 @@ impl Default for RecoveryPolicy {
             watchdog_budget: 2_000,
             preempt_loads: false,
         }
+    }
+}
+
+impl RecoveryPolicy {
+    /// The drivers' one crash-supervision rule for a session a worker
+    /// handed back. A session that crashed more than
+    /// `max_session_attempts` times is dead-lettered; an earlier crash
+    /// counts a retry and a recovery (its shard already restarted with a
+    /// fresh array). Returns `true` when the session crashed and is due a
+    /// re-dispatch; whether to back off first is the caller's choice.
+    pub fn supervise_crash(&self, session: &mut Session, metrics: &Metrics) -> bool {
+        if !session.take_crashed() {
+            return false;
+        }
+        if session.attempts() > self.max_session_attempts {
+            session.mark_dead_lettered(format!("crashed {} times; giving up", session.attempts()));
+            Metrics::incr(&metrics.dead_letters);
+            return false;
+        }
+        Metrics::incr(&metrics.session_retries);
+        Metrics::incr(&metrics.recoveries);
+        true
     }
 }
 
@@ -415,7 +437,10 @@ impl WorkerArray {
     }
 }
 
-/// Pool sizing and behaviour.
+/// The engine's one configuration: pool sizing and behaviour, plus the
+/// driver-side policies [`Engine`](crate::Engine) and
+/// [`Frontend`](crate::Frontend) read. Both drivers hand the whole struct
+/// to [`ShardPool::new`], so every field reaches the pool.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PoolConfig {
     /// Number of worker threads (each owning one array gang).
@@ -449,15 +474,15 @@ pub struct PoolConfig {
     /// idle shard to claim (the default with more than one shard). The
     /// steal path recompiles nothing — the process-wide [`ConfigStore`]
     /// makes every compiled config shard-agnostic. Disabled
-    /// automatically with a single shard.
+    /// automatically with a single shard. Session outcomes are
+    /// placement- and steal-independent, but the live dispatch counters
+    /// depend on which shard each step lands on; runs that want a
+    /// bit-identical metrics block pair [`PlacementPolicy::Static`] with
+    /// stealing off.
     pub work_stealing: bool,
     /// Pending sessions a shard must have queued (in its EDF heap) before
     /// it exposes a steal offer.
     pub steal_threshold: usize,
-    /// Let worker arrays capture steady-state schedules and replay them
-    /// (the default). Golden comparisons force this off to pin the replay
-    /// path bit-identical against the pure event-driven dispatch.
-    pub schedule_capture: bool,
     /// Stream word-level configuration deltas instead of full loads when
     /// a resident overlaps the target (see
     /// [`ConfigManager::set_delta_loading`]); also makes the affinity
@@ -468,6 +493,41 @@ pub struct PoolConfig {
     /// Supervision tuning: kernel/session retry budgets, crash backoff,
     /// watchdog cycle grant.
     pub recovery: RecoveryPolicy,
+    /// [`Engine`](crate::Engine) only: backlog length above which
+    /// admission pressure sheds the least-urgent (latest-deadline)
+    /// waiting session instead of queueing it. The default (`usize::MAX`)
+    /// never sheds.
+    pub shed_backlog: usize,
+    /// Rescue shed candidates by checkpointed migration instead of
+    /// shedding them outright. [`Engine`](crate::Engine) re-dispatches
+    /// the session's ~40-byte parked record to a shard with queue room
+    /// that already holds its next kernel; [`Frontend`](crate::Frontend)
+    /// re-homes an over-budget fresh frame onto the shard its admission
+    /// model says holds its standard's kernels, granting
+    /// [`rescue_lateness_cycles`](PoolConfig::rescue_lateness_cycles) of
+    /// extra grace. Default off: the seed overload behaviour sheds.
+    pub rescue_migration: bool,
+    /// [`Frontend`](crate::Frontend) only: extra modeled lateness a
+    /// rescued frame may carry beyond `shed_lateness_cycles` before it is
+    /// shed anyway.
+    pub rescue_lateness_cycles: u64,
+    /// [`Frontend`](crate::Frontend) only: materialisation window, the
+    /// maximum concurrently *rehydrated* sessions (live async tasks).
+    /// Everything beyond this stays parked. Keep at or below
+    /// `shards × queue_depth` so the reactor bound never starves the
+    /// window.
+    pub max_resident: usize,
+    /// [`Frontend`](crate::Frontend) only: parking-lot slots to
+    /// preallocate (parking within this budget is allocation-free). `0`
+    /// grows on demand.
+    pub parking_capacity: usize,
+    /// [`Frontend`](crate::Frontend) only: a fresh frame whose modeled
+    /// completion would run later than `deadline + shed_lateness_cycles`
+    /// is shed at admission instead of being materialised.
+    pub shed_lateness_cycles: u64,
+    /// [`Frontend`](crate::Frontend) only: how far a `WouldBlock` bounce
+    /// defers the parked deadline.
+    pub defer_cycles: u64,
     /// Deterministic fault plan driven by one pool-wide injector shared
     /// across all shards (its load ordinal spans worker restarts). `None`
     /// injects nothing.
@@ -487,9 +547,15 @@ impl Default for PoolConfig {
             placement: PlacementPolicy::default(),
             work_stealing: true,
             steal_threshold: 8,
-            schedule_capture: true,
             delta_loading: false,
             recovery: RecoveryPolicy::default(),
+            shed_backlog: usize::MAX,
+            rescue_migration: false,
+            rescue_lateness_cycles: 6 * WCDMA_PERIOD_CYCLES,
+            max_resident: 64,
+            parking_capacity: 0,
+            shed_lateness_cycles: 2 * WCDMA_PERIOD_CYCLES,
+            defer_cycles: 1_000,
             #[cfg(feature = "faults")]
             fault_plan: None,
         }
@@ -602,7 +668,7 @@ pub struct ShardPool {
     shards: Vec<ShardHandle>,
     results: Receiver<Session>,
     metrics: Arc<Metrics>,
-    queue_depth_limit: usize,
+    config: PoolConfig,
     view: Arc<ResidencyView>,
     placement: Box<dyn Placement>,
 }
@@ -688,7 +754,6 @@ impl ShardPool {
                     policy: config.recovery,
                     gang: config.arrays_per_shard,
                     replicate_after_cycles: config.replicate_after_cycles,
-                    schedule_capture: config.schedule_capture,
                     delta_loading: config.delta_loading,
                     status: Arc::clone(&statuses[shard]),
                     view: Arc::clone(&view),
@@ -725,10 +790,16 @@ impl ShardPool {
             shards,
             results,
             metrics,
-            queue_depth_limit: config.queue_depth,
+            config,
             view,
             placement,
         }
+    }
+
+    /// The configuration the pool was built with; the drivers read their
+    /// own policies from it.
+    pub fn config(&self) -> &PoolConfig {
+        &self.config
     }
 
     /// Number of worker shards.
@@ -766,7 +837,7 @@ impl ShardPool {
             .placement
             .place(session.next_kernel().as_ref(), session.id())
             .min(self.shards.len() - 1);
-        self.submit_with_limit(shard, session, self.queue_depth_limit)
+        self.submit_with_limit(shard, session, self.config.queue_depth)
     }
 
     /// Submits a session to an explicit shard, bypassing the configured
@@ -786,7 +857,7 @@ impl ShardPool {
     /// [`SubmitError::Shutdown`] when the pool is closed.
     #[allow(clippy::result_large_err)]
     pub fn submit_to(&self, shard: usize, session: Session) -> Result<usize, SubmitError> {
-        self.submit_with_limit(shard, session, self.queue_depth_limit + RESCUE_RESERVE)
+        self.submit_with_limit(shard, session, self.config.queue_depth + RESCUE_RESERVE)
     }
 
     #[allow(clippy::result_large_err)]
@@ -852,7 +923,7 @@ impl ShardPool {
     /// Total submission capacity across every shard queue — the bound the
     /// front-end's completion reactor enforces on in-flight sessions.
     pub fn queue_capacity(&self) -> usize {
-        self.shards.len() * self.queue_depth_limit
+        self.shards.len() * self.config.queue_depth
     }
 
     /// The shared metrics registry every worker reports into.
@@ -923,7 +994,6 @@ struct WorkerSeed {
     policy: RecoveryPolicy,
     gang: usize,
     replicate_after_cycles: u64,
-    schedule_capture: bool,
     delta_loading: bool,
     /// This shard's cell in the global residency view (publish side).
     status: Arc<ShardStatus>,
@@ -945,9 +1015,6 @@ impl WorkerSeed {
             Arc::clone(&self.metrics),
             self.policy,
         );
-        worker
-            .array_mut()
-            .set_schedule_capture(self.schedule_capture);
         // Gang members keep swap sources resident: the batching
         // dispatcher routes each kernel's stream back to its warm member,
         // so recycling a kernel's resources per session (the single-array

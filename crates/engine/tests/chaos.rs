@@ -4,7 +4,7 @@
 //! every fault the injector fired was detected somewhere, and every
 //! detection was answered by a recovery or a dead-letter.
 
-use sdr_engine::{Engine, EngineConfig, RecoveryPolicy, Session, SessionState};
+use sdr_engine::{Engine, PoolConfig, RecoveryPolicy, Session, SessionState};
 use xpp_array::fault::{FaultKind, FaultPlan, FaultSpec};
 
 /// Injected worker panics print through the default hook from worker
@@ -70,7 +70,7 @@ fn chaos_run_full(seed: u64, arrays_per_shard: usize, preempt_loads: bool, delta
     faults.extend(FaultPlan::seeded(seed, 6, 8).faults);
     let plan = FaultPlan { faults };
     let injected_planned = plan.faults.len();
-    let mut engine = Engine::new(EngineConfig {
+    let mut engine = Engine::new(PoolConfig {
         shards: 2,
         arrays_per_shard,
         queue_depth: 16,
@@ -82,7 +82,7 @@ fn chaos_run_full(seed: u64, arrays_per_shard: usize, preempt_loads: bool, delta
         },
         fault_plan: Some(plan),
         delta_loading,
-        ..EngineConfig::default()
+        ..PoolConfig::default()
     });
     let summary = engine.run(mixed_sessions(24));
 
@@ -218,7 +218,7 @@ fn chaos_gang_seed_2() {
 /// order — and therefore the fault ledger — replays exactly.
 #[test]
 fn chaos_gang_is_deterministic_per_seed() {
-    use sdr_engine::{Metrics, PoolConfig, ShardPool};
+    use sdr_engine::{Metrics, ShardPool};
     use std::sync::Arc;
 
     quiet_panics();
@@ -278,12 +278,12 @@ fn chaos_is_deterministic_per_seed() {
     quiet_panics();
     let run = |seed: u64| {
         let plan = FaultPlan::seeded(seed, 5, 10);
-        let mut engine = Engine::new(EngineConfig {
+        let mut engine = Engine::new(PoolConfig {
             shards: 1, // one shard: a single total load order
             queue_depth: 32,
             cache_capacity: 8,
             fault_plan: Some(plan),
-            ..EngineConfig::default()
+            ..PoolConfig::default()
         });
         let summary = engine.run(mixed_sessions(8));
         let s = summary.snapshot;
@@ -311,7 +311,7 @@ fn repeated_crashes_dead_letter_the_session() {
             })
             .collect(),
     };
-    let mut engine = Engine::new(EngineConfig {
+    let mut engine = Engine::new(PoolConfig {
         shards: 1,
         queue_depth: 8,
         cache_capacity: 8,
@@ -320,7 +320,7 @@ fn repeated_crashes_dead_letter_the_session() {
             ..RecoveryPolicy::default()
         },
         fault_plan: Some(plan),
-        ..EngineConfig::default()
+        ..PoolConfig::default()
     });
     let summary = engine.run(mixed_sessions(2));
 
@@ -338,12 +338,12 @@ fn repeated_crashes_dead_letter_the_session() {
 /// explicit `Shed` outcome — sessions are dropped, never lost.
 #[test]
 fn admission_pressure_sheds_latest_deadline_sessions() {
-    let mut engine = Engine::new(EngineConfig {
+    let mut engine = Engine::new(PoolConfig {
         shards: 1,
         queue_depth: 1,
         cache_capacity: 8,
         shed_backlog: 0,
-        ..EngineConfig::default()
+        ..PoolConfig::default()
     });
     let summary = engine.run(mixed_sessions(12));
 
@@ -387,7 +387,7 @@ fn migrate_during_faults_keeps_the_ledger_intact() {
         at_load: 1,
     }];
     faults.extend(FaultPlan::seeded(13, 4, 6).faults);
-    let mut engine = Engine::new(EngineConfig {
+    let mut engine = Engine::new(PoolConfig {
         shards: 2,
         queue_depth: 2,
         cache_capacity: 8,
@@ -398,7 +398,7 @@ fn migrate_during_faults_keeps_the_ledger_intact() {
             ..RecoveryPolicy::default()
         },
         fault_plan: Some(FaultPlan { faults }),
-        ..EngineConfig::default()
+        ..PoolConfig::default()
     });
     // Warm-up: populate the residency view (and let the planned faults
     // start striking) before overload pressure arrives.
@@ -473,7 +473,7 @@ fn faults_mid_replay_invalidate_and_recover() {
         at_load: 1,
     }];
     faults.extend(FaultPlan::seeded(5, 6, 8).faults);
-    let mut engine = Engine::new(EngineConfig {
+    let mut engine = Engine::new(PoolConfig {
         shards: 2,
         arrays_per_shard: 2,
         queue_depth: 16,
@@ -483,7 +483,7 @@ fn faults_mid_replay_invalidate_and_recover() {
             ..RecoveryPolicy::default()
         },
         fault_plan: Some(FaultPlan { faults }),
-        ..EngineConfig::default() // schedule_capture: true
+        ..PoolConfig::default() // schedule capture is always on in the pool
     });
     let summary = engine.run(mixed_sessions(24));
 
@@ -526,7 +526,7 @@ fn faults_mid_replay_invalidate_and_recover() {
 /// reconcile exactly as it does without stealing.
 #[test]
 fn steal_during_faults_keeps_the_ledger_intact() {
-    use sdr_engine::{Metrics, PlacementPolicy, PoolConfig, ShardPool};
+    use sdr_engine::{Metrics, PlacementPolicy, ShardPool};
     use std::sync::Arc;
 
     quiet_panics();
@@ -649,16 +649,88 @@ fn steal_during_faults_keeps_the_ledger_intact() {
     drop(pool);
 }
 
+/// Chaos through the async front-end: the fault plan now reaches the
+/// pool through `Frontend` as it does through `Engine`, and the shared
+/// crash-supervision rule must keep the same ledger — every injected
+/// fault detected, every detection answered by a recovery or a
+/// dead-letter — while each frame reaches exactly one terminal state
+/// (completed or shed at admission).
+#[test]
+fn frontend_chaos_keeps_the_ledger_intact() {
+    use sdr_engine::{Frontend, ParkedSession};
+    use std::collections::HashMap;
+
+    quiet_panics();
+    let mut faults = vec![FaultSpec {
+        kind: FaultKind::WorkerPanic,
+        at_load: 1,
+    }];
+    faults.extend(FaultPlan::seeded(4, 6, 8).faults);
+    let mut fe = Frontend::new(PoolConfig {
+        shards: 2,
+        arrays_per_shard: 2,
+        queue_depth: 16,
+        recovery: RecoveryPolicy {
+            max_kernel_attempts: 4,
+            ..RecoveryPolicy::default()
+        },
+        fault_plan: Some(FaultPlan { faults }),
+        ..PoolConfig::default()
+    });
+    for id in 0..24u64 {
+        fe.admit(if id % 2 == 0 {
+            ParkedSession::new_wcdma(id, 1_000 + id, id * 200)
+        } else {
+            ParkedSession::new_ofdm(id, 2_000 + id, id * 200)
+        });
+    }
+    let mut terminal: HashMap<u64, u32> = HashMap::new();
+    let summary = fe.run(&mut |s: &Session, _| {
+        assert!(s.is_terminal(), "session {} handed back live", s.id());
+        *terminal.entry(s.id()).or_default() += 1;
+        None
+    });
+    for &id in &summary.shed {
+        *terminal.entry(id).or_default() += 1;
+    }
+    assert_eq!(terminal.len(), 24, "frames lost: {terminal:?}");
+    assert!(
+        terminal.values().all(|&n| n == 1),
+        "a frame reached a terminal state twice: {terminal:?}"
+    );
+    assert_eq!(summary.failed, 0, "a fault corrupted a surviving payload");
+    assert_eq!(
+        summary.done + summary.dead_lettered + summary.shed.len() as u64,
+        24
+    );
+
+    let snap = &summary.snapshot;
+    assert!(snap.faults_injected > 0, "no faults fired: {snap}");
+    assert_eq!(
+        snap.faults_injected, snap.faults_detected,
+        "injected faults went undetected (or double-counted): {snap}"
+    );
+    assert!(
+        snap.faults_detected <= snap.recoveries + snap.dead_letters,
+        "detections unanswered through the front-end: {snap}"
+    );
+    assert!(
+        snap.worker_restarts >= 1,
+        "the planned panic never restarted a worker"
+    );
+    drop(fe.shutdown());
+}
+
 /// The golden-equivalence regression for the engine layer: with the
 /// fault machinery *compiled in* but no plan attached, a fault-free run
 /// keeps the exact step count and fault counters of the seed build.
 #[test]
 fn no_plan_changes_nothing() {
-    let mut engine = Engine::new(EngineConfig {
+    let mut engine = Engine::new(PoolConfig {
         shards: 2,
         queue_depth: 8,
         cache_capacity: 8,
-        ..EngineConfig::default() // fault_plan: None
+        ..PoolConfig::default() // fault_plan: None
     });
     let summary = engine.run(mixed_sessions(16));
     assert_eq!(summary.done(), 16);

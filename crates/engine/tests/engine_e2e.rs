@@ -1,13 +1,14 @@
 //! Engine integration tests: the Fig. 10 reconfiguration served from the
 //! configuration cache, pool backpressure, clean shutdown with in-flight
-//! jobs, and a mixed-standard stress run.
+//! jobs, a mixed-standard stress run, and one config reaching the pool
+//! whole through either driver.
 
 use std::sync::Arc;
 
 use sdr_engine::metrics::KernelKind;
 use sdr_engine::{
-    Engine, EngineConfig, Metrics, PoolConfig, Session, SessionState, ShardPool, Standard,
-    SubmitError,
+    Engine, Frontend, Metrics, ParkedSession, PoolConfig, Session, SessionState, ShardPool,
+    Standard, SubmitError,
 };
 
 /// End to end on one worker: an OFDM session detects the preamble on
@@ -16,11 +17,11 @@ use sdr_engine::{
 /// comes out of the cache — two builds total, never a rebuild.
 #[test]
 fn ofdm_reconfiguration_is_served_from_the_cache() {
-    let mut engine = Engine::new(EngineConfig {
+    let mut engine = Engine::new(PoolConfig {
         shards: 1,
         queue_depth: 8,
         cache_capacity: 8,
-        ..EngineConfig::default()
+        ..PoolConfig::default()
     });
     let summary = engine.run(vec![Session::ofdm(0, 11), Session::ofdm(1, 12)]);
 
@@ -119,11 +120,11 @@ fn shutdown_drains_in_flight_jobs() {
 /// metrics ledger stays consistent with what actually happened.
 #[test]
 fn stress_64_mixed_sessions_over_4_shards() {
-    let mut engine = Engine::new(EngineConfig {
+    let mut engine = Engine::new(PoolConfig {
         shards: 4,
         queue_depth: 8, // small queues force re-queue traffic
         cache_capacity: 8,
-        ..EngineConfig::default()
+        ..PoolConfig::default()
     });
     let sessions: Vec<Session> = (0..64)
         .map(|id| {
@@ -195,12 +196,51 @@ fn stress_64_mixed_sessions_over_4_shards() {
 /// panicking the EDF admission check.
 #[test]
 fn idle_shards_admit_trivially() {
-    let mut engine = Engine::new(EngineConfig {
+    let mut engine = Engine::new(PoolConfig {
         shards: 8,
-        ..EngineConfig::default()
+        ..PoolConfig::default()
     });
     let summary = engine.run(vec![Session::wcdma(0, 7), Session::ofdm(1, 8)]);
     assert_eq!(summary.done(), 2);
     assert_eq!(summary.admission.len(), 8);
     assert!(summary.admission_feasible());
+}
+
+/// The front-end hands its whole config to the pool, so pool-only fields
+/// such as `replicate_after_cycles` take effect through `Frontend` too.
+/// One OFDM-only load on a 1-shard × 4-array gang (a gang of 2 never
+/// replicates: at most `gang − 1` homes). The load is closed-loop, so
+/// every follow-up frame meets its kernels warm on a member that has
+/// already run them: replicating at the first cycle of imbalance must
+/// then spread the hot kernels, never replicating must not.
+#[test]
+fn frontend_config_reaches_the_pool() {
+    let run = |replicate_after_cycles: u64| {
+        let mut fe = Frontend::new(PoolConfig {
+            shards: 1,
+            arrays_per_shard: 4,
+            replicate_after_cycles,
+            ..PoolConfig::default()
+        });
+        for id in 0..8u64 {
+            fe.admit(ParkedSession::new_ofdm(id, 2_000 + id, id * 200));
+        }
+        // Each terminal runs three frames, the next admitted when the
+        // previous one completes.
+        let mut frames = 8;
+        let summary = fe.run(&mut |done: &Session, completed_at| {
+            (frames < 24).then(|| {
+                frames += 1;
+                ParkedSession::new_ofdm(done.id(), 3_000 + frames, completed_at)
+            })
+        });
+        assert_eq!(summary.done, 24, "every frame completes");
+        summary.snapshot.batch_replications
+    };
+    assert!(run(0) > 0, "replicate_after_cycles: 0 must replicate");
+    assert_eq!(
+        run(u64::MAX),
+        0,
+        "replicate_after_cycles: MAX must never replicate"
+    );
 }

@@ -9,7 +9,10 @@
 //! same kernels, seeds and data either way, so its payload verdict cannot
 //! depend on which gang member it landed on.
 
-use sdr_engine::{Engine, EngineConfig, Session, SessionState};
+use std::sync::Arc;
+
+use sdr_engine::{Engine, Metrics, PoolConfig, Session, SessionState, WorkerArray};
+use xpp_array::with_schedule_capture;
 
 /// Mixed workload: even ids W-CDMA rake terminals, odd ids 802.11a OFDM
 /// terminals, seeds derived from the id both ways.
@@ -27,31 +30,17 @@ fn mixed_sessions(n: u64) -> Vec<Session> {
 
 /// Runs the workload and returns `(id, terminal state)` sorted by id.
 fn outcomes(arrays_per_shard: usize, n: u64) -> Vec<(u64, SessionState)> {
-    outcomes_with_capture(arrays_per_shard, n, true)
+    outcomes_full(arrays_per_shard, n, false)
 }
 
-fn outcomes_with_capture(
-    arrays_per_shard: usize,
-    n: u64,
-    schedule_capture: bool,
-) -> Vec<(u64, SessionState)> {
-    outcomes_full(arrays_per_shard, n, schedule_capture, false)
-}
-
-fn outcomes_full(
-    arrays_per_shard: usize,
-    n: u64,
-    schedule_capture: bool,
-    delta_loading: bool,
-) -> Vec<(u64, SessionState)> {
-    let mut engine = Engine::new(EngineConfig {
+fn outcomes_full(arrays_per_shard: usize, n: u64, delta_loading: bool) -> Vec<(u64, SessionState)> {
+    let mut engine = Engine::new(PoolConfig {
         shards: 1,
         arrays_per_shard,
         queue_depth: 64,
         cache_capacity: 8,
-        schedule_capture,
         delta_loading,
-        ..EngineConfig::default()
+        ..PoolConfig::default()
     });
     let summary = engine.run(mixed_sessions(n));
     assert_eq!(
@@ -88,12 +77,6 @@ fn gang_of_four_matches_single_array_outcomes() {
     );
 }
 
-/// Schedule capture is on by default for every gang member; forcing it
-/// off must not change a single session outcome, on either the seed
-/// single-array shape or the 4-array gang. (Bit-level array equivalence
-/// is pinned in `xpp_array`'s golden suite; this pins the engine layer —
-/// captured schedules travelling through the shared `Arc<CompiledConfig>`
-/// across gang members included.)
 /// Differential loading changes *how* configurations reach the array —
 /// word deltas against the evicted resident instead of full streams —
 /// never *what* they compute: a delta-loaded configuration is bit-exact
@@ -103,8 +86,8 @@ fn gang_of_four_matches_single_array_outcomes() {
 fn delta_loading_does_not_change_outcomes() {
     let n = 32;
     for gang in [1usize, 4] {
-        let off = outcomes_full(gang, n, true, false);
-        let on = outcomes_full(gang, n, true, true);
+        let off = outcomes_full(gang, n, false);
+        let on = outcomes_full(gang, n, true);
         assert_eq!(off.len(), on.len());
         for ((id_off, state_off), (id_on, state_on)) in off.iter().zip(on.iter()) {
             assert_eq!(id_off, id_on);
@@ -116,12 +99,34 @@ fn delta_loading_does_not_change_outcomes() {
     }
 }
 
+/// The capture-off oracle: every session stepped serially to a terminal
+/// state on one array built with schedule capture forced off, so the
+/// event scheduler alone runs every kernel.
+fn outcomes_without_capture(n: u64) -> Vec<(u64, SessionState)> {
+    let mut worker = with_schedule_capture(false, || WorkerArray::new(8, Arc::new(Metrics::new())));
+    mixed_sessions(n)
+        .into_iter()
+        .map(|mut session| {
+            while !session.is_terminal() {
+                session.step(&mut worker);
+            }
+            (session.id(), session.state().clone())
+        })
+        .collect()
+}
+
+/// Schedule capture is always on for every pool array; the serial
+/// capture-off oracle must reach the same outcome for every session, on
+/// either the seed single-array shape or the 4-array gang. (Bit-level
+/// array equivalence is pinned in `xpp_array`'s golden suite; this pins
+/// the engine layer — captured schedules travelling through the shared
+/// `Arc<CompiledConfig>` across gang members included.)
 #[test]
 fn schedule_capture_does_not_change_outcomes() {
     let n = 32;
+    let off = outcomes_without_capture(n);
     for gang in [1usize, 4] {
-        let on = outcomes_with_capture(gang, n, true);
-        let off = outcomes_with_capture(gang, n, false);
+        let on = outcomes(gang, n);
         assert_eq!(on.len(), off.len());
         for ((id_on, state_on), (id_off, state_off)) in on.iter().zip(off.iter()) {
             assert_eq!(id_on, id_off);

@@ -18,8 +18,7 @@
 use std::sync::Arc;
 
 use sdr_engine::{
-    Engine, EngineConfig, Metrics, PlacementPolicy, PoolConfig, Session, SessionState, ShardPool,
-    WorkerArray,
+    Engine, Metrics, PlacementPolicy, PoolConfig, Session, SessionState, ShardPool, WorkerArray,
 };
 
 /// Mixed workload: even ids W-CDMA rake terminals, odd ids 802.11a OFDM
@@ -75,7 +74,7 @@ fn routed_outcomes(
 
 /// Like [`routed_outcomes`] with differential configuration loading
 /// switchable: the delta-scored router tier and the delta swap tier both
-/// arm together, exactly as `EngineConfig::delta_loading` wires them.
+/// arm together, exactly as `PoolConfig::delta_loading` wires them.
 fn routed_outcomes_delta(
     shards: usize,
     arrays_per_shard: usize,
@@ -84,7 +83,7 @@ fn routed_outcomes_delta(
     delta_loading: bool,
     n: u64,
 ) -> Vec<(u64, SessionState)> {
-    let mut engine = Engine::new(EngineConfig {
+    let mut engine = Engine::new(PoolConfig {
         shards,
         arrays_per_shard,
         queue_depth: 64,
@@ -92,7 +91,7 @@ fn routed_outcomes_delta(
         placement,
         work_stealing,
         delta_loading,
-        ..EngineConfig::default()
+        ..PoolConfig::default()
     });
     let summary = engine.run(mixed_sessions(n));
     assert_eq!(
