@@ -112,6 +112,9 @@ pub struct Session {
     crashed: bool,
     /// Dispatch attempts that ended in a crash so far.
     attempts: u32,
+    /// Backpressure bounces carried across parks (see
+    /// [`ParkedSession::backoff`]).
+    backoff: u8,
 }
 
 impl Session {
@@ -125,6 +128,7 @@ impl Session {
             kind: Kind::Wcdma(WcdmaTerminal::new(seed)),
             crashed: false,
             attempts: 0,
+            backoff: 0,
         }
     }
 
@@ -138,6 +142,7 @@ impl Session {
             kind: Kind::Ofdm(OfdmTerminal::new(seed)),
             crashed: false,
             attempts: 0,
+            backoff: 0,
         }
     }
 
@@ -271,7 +276,8 @@ impl Session {
     /// replays them bit-identically; only the DSP decisions that the
     /// pipeline has already *made* (the found path delay, the coarse
     /// preamble timing) are carried across the park, so no array kernel
-    /// ever re-runs.
+    /// ever re-runs. The backpressure bounce and crash attempt counts are
+    /// carried too.
     ///
     /// Returns `None` for terminal sessions — they have nothing left to
     /// resume into.
@@ -297,7 +303,7 @@ impl Session {
             },
             deadline: self.deadline,
             phase,
-            backoff: 0,
+            backoff: self.backoff,
             attempts: self.attempts.min(u8::MAX as u32) as u8,
         })
     }
@@ -318,6 +324,7 @@ impl Session {
         };
         s.deadline = parked.deadline;
         s.attempts = parked.attempts as u32;
+        s.backoff = parked.backoff;
         match (parked.phase, &mut s.kind) {
             (ParkedPhase::WcdmaStart, _) | (ParkedPhase::OfdmStart, _) => {}
             (ParkedPhase::WcdmaSearch, Kind::Wcdma(t)) => {
@@ -1015,6 +1022,21 @@ mod tests {
         assert_eq!(o.standard(), Standard::Ofdm);
         assert_eq!(o.period(), OFDM_PERIOD_CYCLES);
         assert_eq!(o.seed(), 7);
+    }
+
+    #[test]
+    fn bounce_count_survives_park_and_rehydrate() {
+        let mut record = ParkedSession::new_wcdma(6, 42, 0);
+        for bounces in 1..=2 {
+            let mut parked = Session::rehydrate(&record)
+                .park()
+                .expect("idle sessions park");
+            parked.defer(1_000);
+            assert_eq!(parked.backoff(), bounces);
+            assert!(!parked.is_fresh(), "a bounced record is not fresh");
+            record = parked;
+        }
+        assert_eq!(record.backoff(), 2);
     }
 
     #[test]
